@@ -29,6 +29,7 @@
 //! when `Auto` loses a row.
 
 use crate::figures::HarnessConfig;
+use crate::summary::median_us;
 use chargers::{synth_fleet, ChargerFleet, FleetParams};
 use ecocharge_core::{
     DetourBackend, EcoCharge, EcoChargeConfig, OfferingTable, PruneCostModel, PruningMode,
@@ -197,19 +198,6 @@ impl World {
 struct OptionRun {
     median_us: f64,
     tables: Vec<OfferingTable>,
-}
-
-fn median_us(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// Run every configuration of one dimension over the world's trips:

@@ -66,11 +66,11 @@ fn usage() -> ! {
               (exits non-zero when any cell diverges, 4 shards sustain < 3x the\n\
               critical-path events/s of 1 shard at >= 4 threads, or the federated\n\
               hit rate drifts more than 5 points)\n\
-  serve       tiered Offering-Table cache under closed-loop Zipf load: deterministic\n\
+  serve       per-lane Offering-Table cache under closed-loop Zipf load: deterministic\n\
               virtual clients (skew 0/0.8/1.2 x 1k/10k/50k sessions, or --sessions N\n\
               for a single fleet size) hammer a 2-shard front cache-off then\n\
               cache-on, measuring sustained events/s, p50/p99/p999 latency and\n\
-              per-tier hit rates, with a bit-identity check per cell plus an\n\
+              the L1 hit rate, with a bit-identity check per cell plus an\n\
               identity matrix across shard x thread counts on the smallest\n\
               high-skew cell; writes BENCH_serve.json (exits non-zero when any\n\
               cell diverges, a high-skew cell never hits the cache, or cache-on\n\
@@ -575,12 +575,12 @@ fn main() {
                 sessions_override.map_or_else(|| vec![1000, 10_000, 50_000], |n| vec![n]);
             let report = run_serve(&harness, &session_counts, &[0.0, 0.8, 1.2]);
             println!(
-                "\n=== Serve: tiered table cache under Zipf load ({}, {} shards) ===",
+                "\n=== Serve: per-lane table cache under Zipf load ({}, {} shards) ===",
                 report.rows.first().map_or("?", |r| r.world.as_str()),
                 2
             );
             println!(
-                "{:<9} {:>6} {:>8} {:>9} {:>11} {:>11} {:>8} {:>9} {:>9} {:>9} {:>7} {:>7} {:>10}",
+                "{:<9} {:>6} {:>8} {:>9} {:>11} {:>11} {:>8} {:>9} {:>9} {:>9} {:>7} {:>10}",
                 "sessions",
                 "skew",
                 "shapes",
@@ -592,12 +592,11 @@ fn main() {
                 "p99(us)",
                 "p999(us)",
                 "L1%",
-                "L2%",
                 "identical"
             );
             for r in &report.rows {
                 println!(
-                    "{:<9} {:>6.1} {:>8} {:>9} {:>11.0} {:>11.0} {:>7.2}x {:>9.1} {:>9.1} {:>9.1} {:>6.1}% {:>6.1}% {:>10}",
+                    "{:<9} {:>6.1} {:>8} {:>9} {:>11.0} {:>11.0} {:>7.2}x {:>9.1} {:>9.1} {:>9.1} {:>6.1}% {:>10}",
                     r.sessions,
                     r.skew,
                     r.shapes,
@@ -609,7 +608,6 @@ fn main() {
                     r.p99_us,
                     r.p999_us,
                     r.l1_hit_rate * 100.0,
-                    r.l2_hit_rate * 100.0,
                     r.identical
                 );
             }

@@ -31,6 +31,7 @@
 
 use crate::env::ExperimentEnv;
 use crate::figures::HarnessConfig;
+use crate::summary::median_us;
 use chargers::{synth_fleet, FleetParams};
 use ec_types::rng::SplitMix64;
 use ec_types::NodeId;
@@ -84,19 +85,6 @@ type BatchBits = (Vec<Option<u64>>, Vec<Option<u64>>, Vec<Option<u64>>);
 
 fn bits(costs: impl IntoIterator<Item = Option<f64>>) -> Vec<Option<u64>> {
     costs.into_iter().map(|c| c.map(f64::to_bits)).collect()
-}
-
-fn median_us(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// Timings for one backend over one workload.

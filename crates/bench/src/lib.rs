@@ -26,6 +26,8 @@ pub mod shard;
 pub mod table;
 pub mod validate;
 
+mod summary;
+
 pub use adaptive::{run_adaptive, write_adaptive_json, AdaptiveRow, MetroTier};
 pub use detour::{run_detour, write_detour_json, DetourRow};
 pub use env::ExperimentEnv;

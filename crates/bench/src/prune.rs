@@ -17,6 +17,7 @@
 //! JSON backend) so CI can archive the sweep.
 
 use crate::figures::HarnessConfig;
+use crate::summary::median_us;
 use chargers::{synth_fleet, ChargerFleet, FleetParams};
 use ecocharge_core::{
     DetourBackend, EcoCharge, EcoChargeConfig, OfferingTable, PruneStats, PruningMode, QueryCtx,
@@ -71,19 +72,6 @@ pub struct PruneRow {
     /// Whether every pruned Offering Table equals its unpruned twin
     /// bit-for-bit (on the largest fleet: across backend × thread count).
     pub identical: bool,
-}
-
-fn median_us(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// The world one sweep column runs against: a generated urban grid with a

@@ -1,41 +1,44 @@
-//! The `repro serve` series — the tiered Offering-Table cache under
+//! The `repro serve` series — the per-lane Offering-Table cache under
 //! closed-loop Zipf load.
 //!
 //! Deterministic virtual clients hammer one sharded serving front
-//! (2 shards × 2 front threads, so both cache tiers are live: the L1 is
-//! per lane, the L2 is shared across lanes). Each client's trip is drawn
-//! from a catalog of route shapes by a Zipf(s) rank distribution — s = 0
-//! is uniform (essentially every driver on their own route, no reuse for
-//! the cache to find), s = 1.2 concentrates the fleet onto a few popular
-//! corridors, which is what urban charging demand actually looks like.
+//! (2 shards × 2 front threads, each lane with its own L1 table cache).
+//! Each client's trip is drawn from a catalog of route shapes by a
+//! Zipf(s) rank distribution — s = 0 is uniform (essentially every
+//! driver on their own route, no reuse for the cache to find), s = 1.2
+//! concentrates the fleet onto a few popular corridors, which is what
+//! urban charging demand actually looks like.
 //! Every (skew × session-count) cell is served twice, cache off then
 //! cache on, and reports:
 //!
 //! * sustained throughput (flat-equivalent events/s over the serving
 //!   wall clock) for both runs and their ratio;
 //! * per-event latency percentiles (p50/p99/p999) of the cache-on run;
-//! * per-tier hit rates from the unified [`servecache::CacheMetrics`]
+//! * the L1 hit rate from the unified [`servecache::CacheMetrics`]
 //!   registry;
 //! * **identity** — the cache-on run's merged event log and every
 //!   session's solve record, bit-compared against the cache-off run.
 //!
-//! Two gates feed [`serve_gate_failures`] (the `repro` binary exits
-//! non-zero): every cell must be bit-identical, and at s = 1.2 the
-//! cached front must sustain ≥ [`SPEEDUP_GATE`]× the uncached events/s
-//! once the fleet is ≥ [`GATE_MIN_SESSIONS`] sessions (smaller fleets —
-//! the CI smoke runs one at 1k — must merely not lose throughput). A
+//! The gates feed [`serve_gate_failures`] (the `repro` binary exits
+//! non-zero): every cell must be bit-identical, and at s = 1.2 the L1
+//! must hit at all and the cached front must sustain ≥
+//! [`SPEEDUP_GATE`]× the uncached events/s once the fleet is ≥
+//! [`GATE_MIN_SESSIONS`] sessions (smaller fleets — the CI smoke runs
+//! one at 1k — must merely not lose throughput). A
 //! separate identity matrix re-serves the smallest high-skew cell across
 //! shard × thread counts against an *unsharded, uncached* reference, so
 //! the cache is also pinned against the flat serving path, not just
 //! against its own topology.
 //!
 //! Written as `BENCH_serve.json` with the full metrics provenance block:
-//! every cache tier's counters (table L1/L2 and the InfoServer's
+//! every cache tier's counters (the table L1 and the InfoServer's
 //! forecast tiers), the cross-session forecast-share ledger, and the
 //! summed lazy-pruning counters of the final cache-on run.
 
 use crate::figures::HarnessConfig;
+use crate::summary::percentile;
 use chargers::{synth_fleet, ChargerFleet, FleetParams};
+use ec_types::rng::SplitMix64;
 use ec_types::{SimDuration, SimTime, TripId};
 use ecocharge_core::{EcoChargeConfig, PruneStats, QueryCtx};
 use ecocharge_session::{
@@ -59,15 +62,13 @@ pub const GATE_MIN_SESSIONS: usize = 10_000;
 /// Skew at and above which the speedup gates judge a row.
 pub const GATE_SKEW: f64 = 1.2;
 
-/// Shards in the serving front — two, so the L2 is genuinely shared.
+/// Shards in the serving front — two, so route shapes split across
+/// lanes and sessions hand off between them mid-trip.
 const FRONT_SHARDS: usize = 2;
 /// Front threads — two, so the lanes actually run concurrently.
 const FRONT_THREADS: usize = 2;
 /// Quadtree depth for the urban-grid world (matches the shard series).
 const TILE_DEPTH: u32 = 3;
-/// Cache-on L1 capacity: deliberately small so the sweep exercises L1
-/// eviction and the L2 actually sees traffic at 10k+ sessions.
-const L1_ENTRIES: usize = 4_096;
 
 /// One cell of the serve sweep: a (sessions × skew) workload served
 /// twice, cache off then cache on.
@@ -97,8 +98,6 @@ pub struct ServeRow {
     pub p999_us: f64,
     /// Table-cache L1 hit rate (all lanes merged).
     pub l1_hit_rate: f64,
-    /// Table-cache L2 (shared tier) hit rate.
-    pub l2_hit_rate: f64,
     /// Cache-on event log and every session's solves equal the
     /// cache-off run bit-for-bit.
     pub identical: bool,
@@ -118,8 +117,8 @@ pub struct IdentityCell {
 /// cache-on run — the unified registry view the serving layer exposes.
 #[derive(Debug, Clone, Default)]
 pub struct ServeMetrics {
-    /// Every cache tier's counters: `session.l1`, `session.l2`, and the
-    /// InfoServer forecast tiers.
+    /// Every cache tier's counters: `session.l1` and the InfoServer
+    /// forecast tiers.
     pub tiers: Vec<(String, TierSnapshot)>,
     /// Cross-session forecast-share ledger counters.
     pub forecast_shared_hits: u64,
@@ -136,18 +135,6 @@ pub struct ServeReport {
     pub rows: Vec<ServeRow>,
     pub identity: Vec<IdentityCell>,
     pub metrics: ServeMetrics,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A unit-interval draw from a 64-bit state (53 mantissa bits).
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Cumulative Zipf(s) weights over `catalog` ranks: rank r has weight
@@ -172,7 +159,8 @@ fn zipf_clients(shapes: &[Trip], cum: &[f64], sessions: usize, seed: u64) -> (Ve
     let mut sampled = vec![false; shapes.len()];
     let mut clients = Vec::with_capacity(sessions);
     for i in 0..sessions {
-        let u = unit(splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F))) * total;
+        let u = SplitMix64::new(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F)).next_f64()
+            * total;
         let rank = cum.partition_point(|&c| c < u).min(shapes.len() - 1);
         sampled[rank] = true;
         let mut trip = shapes[rank].clone();
@@ -224,11 +212,8 @@ impl World {
 }
 
 fn service_config(sessions: usize, cached: bool) -> ServiceConfig {
-    let table_cache = if cached {
-        TableCacheConfig { l1_entries: L1_ENTRIES, ..TableCacheConfig::enabled() }
-    } else {
-        TableCacheConfig::default()
-    };
+    let table_cache =
+        if cached { TableCacheConfig::enabled() } else { TableCacheConfig::default() };
     ServiceConfig {
         max_sessions: sessions + 1,
         events_per_tick: sessions.max(64),
@@ -274,14 +259,6 @@ fn serve_cell<'a>(
     front.run_to_completion().expect("bench serving");
     let serve_s = started.elapsed().as_secs_f64();
     CellRun { front, serve_s }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 fn bit_identical(on: &ShardedService<'_>, off: &ShardedService<'_>) -> bool {
@@ -342,9 +319,7 @@ pub fn run_serve(harness: &HarnessConfig, session_counts: &[usize], skews: &[f64
             let on_eps = events as f64 / on.serve_s.max(1e-9);
             let mut latencies = on.front.event_latencies_us();
             latencies.sort_by(f64::total_cmp);
-            let metrics = on.front.cache_metrics();
-            let tier_rate =
-                |name: &str| metrics.get(name).map_or(0.0, |t: TierSnapshot| t.hit_rate());
+            let l1 = on.front.cache_metrics().get("session.l1").unwrap_or_default();
             report.rows.push(ServeRow {
                 world: world.name.clone(),
                 sessions,
@@ -357,8 +332,7 @@ pub fn run_serve(harness: &HarnessConfig, session_counts: &[usize], skews: &[f64
                 p50_us: percentile(&latencies, 0.50),
                 p99_us: percentile(&latencies, 0.99),
                 p999_us: percentile(&latencies, 0.999),
-                l1_hit_rate: tier_rate("session.l1"),
-                l2_hit_rate: tier_rate("session.l2"),
+                l1_hit_rate: l1.hit_rate(),
                 identical: bit_identical(&on.front, &off.front),
             });
             report.metrics = capture_metrics(&on);
@@ -412,9 +386,9 @@ pub fn serve_gate_failures(report: &ServeReport) -> Vec<String> {
             ));
         }
         if r.skew >= GATE_SKEW {
-            if r.l1_hit_rate + r.l2_hit_rate <= 0.0 {
+            if r.l1_hit_rate <= 0.0 {
                 failures.push(format!(
-                    "sessions={} skew={}: high-skew load never hit either cache tier",
+                    "sessions={} skew={}: high-skew load never hit the L1 table cache",
                     r.sessions, r.skew
                 ));
             }
@@ -456,7 +430,7 @@ pub fn write_serve_json(path: &Path, report: &ServeReport) -> std::io::Result<()
             "    {{\"sessions\": {}, \"skew\": {:.1}, \"shapes\": {}, \"events\": {}, \
              \"off_events_per_s\": {:.1}, \"on_events_per_s\": {:.1}, \"speedup\": {:.4}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \
-             \"l1_hit_rate\": {:.4}, \"l2_hit_rate\": {:.4}, \"identical\": {}}}{sep}",
+             \"l1_hit_rate\": {:.4}, \"identical\": {}}}{sep}",
             r.sessions,
             r.skew,
             r.shapes,
@@ -468,7 +442,6 @@ pub fn write_serve_json(path: &Path, report: &ServeReport) -> std::io::Result<()
             r.p99_us,
             r.p999_us,
             r.l1_hit_rate,
-            r.l2_hit_rate,
             r.identical
         )?;
     }
@@ -557,10 +530,7 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.events > 0));
         let hot = &report.rows[1];
         assert!(hot.skew >= 1.2);
-        assert!(
-            hot.l1_hit_rate + hot.l2_hit_rate > 0.0,
-            "high skew must produce cache hits: {hot:?}"
-        );
+        assert!(hot.l1_hit_rate > 0.0, "high skew must produce cache hits: {hot:?}");
         let uni = &report.rows[0];
         assert!(
             uni.shapes > hot.shapes,
@@ -599,7 +569,6 @@ mod tests {
             p99_us: 400.0,
             p999_us: 900.0,
             l1_hit_rate: hit,
-            l2_hit_rate: 0.0,
             identical: true,
         }
     }

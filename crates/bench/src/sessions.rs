@@ -12,6 +12,7 @@
 
 use crate::env::ExperimentEnv;
 use crate::figures::HarnessConfig;
+use crate::summary::percentile;
 use ec_types::TripId;
 use ecocharge_core::{EcoCharge, EcoChargeConfig, QueryCtx};
 use ecocharge_session::{ServiceConfig, SessionService, SessionStats};
@@ -53,14 +54,6 @@ pub struct SessionsRow {
     /// count's run; for the baseline cell itself, sampled sessions
     /// replayed bit-equal on a standalone solver.
     pub identical: bool,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// `count` distinct-id trips from the environment's pool (wrapping the

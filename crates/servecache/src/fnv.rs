@@ -3,13 +3,12 @@
 //! `std`'s default `RandomState` is seeded per process, so two runs of
 //! the same workload hash the same key differently — fine for a private
 //! `HashMap`, fatal for anything whose hash leaks into observable
-//! behaviour (which shard of a [`crate::SharedTier`] a key lands on,
-//! cache-key digests recorded in journals or bench JSON). Everything in
-//! this crate that needs a *stable* hash routes through [`Fnv64`]; the
+//! behaviour (cache-key digests recorded in journals or bench JSON).
+//! Everything that needs a *stable* hash routes through [`Fnv64`]; the
 //! hash of a given byte stream is a pure function of that stream,
 //! forever.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -47,18 +46,10 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// Hash any `Hash` value with FNV-1a 64 — the run-stable replacement
-/// for `RandomState`'s `hash_one`.
-#[must_use]
-pub fn fnv64<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = Fnv64::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn matches_reference_vectors() {
@@ -76,8 +67,13 @@ mod tests {
 
     #[test]
     fn is_stable_and_input_sensitive() {
-        assert_eq!(fnv64(&(1u32, 2u64)), fnv64(&(1u32, 2u64)));
-        assert_ne!(fnv64(&(1u32, 2u64)), fnv64(&(2u32, 1u64)));
-        assert_ne!(fnv64("ab"), fnv64("ba"));
+        fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
+            let mut h = Fnv64::new();
+            value.hash(&mut h);
+            h.finish()
+        }
+        assert_eq!(digest(&(1u32, 2u64)), digest(&(1u32, 2u64)));
+        assert_ne!(digest(&(1u32, 2u64)), digest(&(2u32, 1u64)));
+        assert_ne!(digest("ab"), digest("ba"));
     }
 }

@@ -1,13 +1,13 @@
 //! A deterministic O(1) LRU with entry *and* byte budgets.
 //!
-//! The per-lane Offering-Table L1 ([`crate::tier`] wraps the same
-//! structure for the shared L2). Entries live in a slab (`Vec` of
-//! slots) threaded by intrusive prev/next links in recency order, with
-//! a `HashMap` index from key to slot — every operation is O(1) and
-//! allocation-free once warm. Eviction is strictly
-//! least-recently-used, so for a fixed operation sequence the resident
-//! set is a pure function of that sequence — the property test in
-//! `tests/props.rs` pins the whole structure against a naive model.
+//! The building block of the per-lane Offering-Table cache. Entries
+//! live in a slab (`Vec` of slots) threaded by intrusive prev/next
+//! links in recency order, with a `HashMap` index from key to slot —
+//! every operation is O(1) and allocation-free once warm. Eviction is
+//! strictly least-recently-used, so for a fixed operation sequence the
+//! resident set is a pure function of that sequence — the property
+//! test in `tests/props.rs` pins the whole structure against a naive
+//! model.
 //!
 //! Byte weights are supplied by the caller at insert (the cache is
 //! generic and cannot size its values); an entry larger than the whole
@@ -30,7 +30,7 @@ struct Slot<K, V> {
 }
 
 /// Bounded least-recently-used map. Not internally synchronised — wrap
-/// in a lock (as [`crate::SharedTier`] does) to share across threads.
+/// in a lock (as the session table cache does) to share across threads.
 #[derive(Debug)]
 pub struct Lru<K, V> {
     index: HashMap<K, usize>,

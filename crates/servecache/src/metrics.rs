@@ -1,8 +1,8 @@
 //! The unified cache-accounting surface.
 //!
 //! Every cache tier in the serving stack — the information server's
-//! fresh/LKG TTL maps, the per-lane Offering-Table L1s, the shared L2 —
-//! reports the same six counters through a [`TierSnapshot`], and a
+//! fresh/LKG TTL maps and the per-lane Offering-Table L1s — reports the
+//! same six counters through a [`TierSnapshot`], and a
 //! [`CacheMetrics`] registry collects the named snapshots for one
 //! service (or one whole sharded front). This replaces the bespoke
 //! `(hits, misses)` tuples each cache used to grow: a bench row or a

@@ -1,4 +1,4 @@
-//! Tiered Offering-Table caching for the serving layer.
+//! Offering-Table caching for the serving layer.
 //!
 //! The serving stack's determinism argument makes a rendered Offering
 //! Table *addressable*: under the purity gate (model-backed forecasts,
@@ -10,14 +10,11 @@
 //! post-solve solver state*, computed by one session can be replayed
 //! into another without running Algorithm 1 at all.
 //!
-//! Two tiers serve that reuse:
-//!
-//! * **L1** — a per-lane [`servecache::Lru`] behind one mutex, owned by
-//!   a single [`crate::SessionService`]. Per-lane, so sharded lanes
-//!   never contend on it.
-//! * **L2** — an optional shared-process [`servecache::SharedTier`]
-//!   (sharded-lock LRU) one [`crate::ShardedService`] hands to every
-//!   lane; an L2 hit is promoted into the probing lane's L1.
+//! One tier serves that reuse: a per-lane [`servecache::Lru`] (the L1)
+//! behind one mutex, owned by a single [`crate::SessionService`].
+//! Per-lane, so sharded lanes never contend on it; lanes are geographic
+//! partitions of one process, so clones of a route stay in one lane
+//! and there is no shared tier behind the L1.
 //!
 //! ## The key
 //!
@@ -54,7 +51,7 @@
 //! on/off across threads × shards to prove it. Failed solves are never
 //! cached (errors must re-observe the server).
 //!
-//! Hit/miss counters live in the cache tiers (surfaced through
+//! Hit/miss counters live in the cache (surfaced through
 //! [`servecache::CacheMetrics`]), **not** in
 //! [`crate::SessionStats`]: which concurrent session wins the insert
 //! race is wall-clock dependent, and the stats struct is part of the
@@ -63,8 +60,9 @@
 use crate::scheduler::Event;
 use ecocharge_core::{EcoChargeConfig, OfferingEntry, OfferingTable, RawWeights, SolverSnapshot};
 use parking_lot::Mutex;
-use servecache::{CacheMetrics, Fnv64, Lru, SharedTier, TierSnapshot};
+use servecache::{CacheMetrics, Fnv64, Lru, TierSnapshot};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use trajgen::Trip;
 
@@ -100,7 +98,7 @@ impl TableKey {
 /// Digest the trip's shape: vehicle, departure second and route nodes.
 /// The trip *id* is deliberately excluded — sessions are keyed by trip
 /// id, but two ids over the same shape solve identically, and that
-/// collapse is the whole point of the shared tier.
+/// collapse is the whole point of the table cache.
 #[must_use]
 pub fn trip_digest(trip: &Trip) -> u64 {
     let mut h = Fnv64::default();
@@ -211,7 +209,7 @@ impl SolveArtifact {
     }
 }
 
-/// Capacity knobs for the two tiers. `Default` is **disabled**: table
+/// Capacity knobs for the per-lane L1. `Default` is **disabled**: table
 /// caching is opt-in because it only applies under the purity gate and
 /// the serve bench is its proving ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,24 +221,11 @@ pub struct TableCacheConfig {
     /// L1 (per-lane) byte budget (estimated bytes, see
     /// [`SolveArtifact::weight_bytes`]).
     pub l1_bytes: usize,
-    /// L2 (shared tier) entry budget, whole tier.
-    pub l2_entries: usize,
-    /// L2 (shared tier) byte budget, whole tier.
-    pub l2_bytes: usize,
-    /// L2 lock shards.
-    pub l2_shards: usize,
 }
 
 impl Default for TableCacheConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            l1_entries: 1 << 14,
-            l1_bytes: 64 << 20,
-            l2_entries: 1 << 16,
-            l2_bytes: 256 << 20,
-            l2_shards: 16,
-        }
+        Self { enabled: false, l1_entries: 1 << 14, l1_bytes: 64 << 20 }
     }
 }
 
@@ -252,116 +237,64 @@ impl TableCacheConfig {
     }
 }
 
-/// The shared tier type both fronts pass around.
-pub type TableTier = SharedTier<TableKey, Arc<SolveArtifact>>;
-
-/// One lane's view of the tiered table cache: its private L1 plus an
-/// optional handle on the process-wide L2. Interior mutability because
+/// One lane's table cache: a private L1. Interior mutability because
 /// batch workers probe it through a shared reference.
 #[derive(Debug)]
 pub struct TableCache {
     l1: Mutex<Lru<TableKey, Arc<SolveArtifact>>>,
-    l2: Option<Arc<TableTier>>,
     /// Highest forecast window (seconds) this lane has swept — gates
     /// [`TableCache::roll_window`] to one sweep per window per lane.
-    swept: std::sync::atomic::AtomicU64,
+    swept: AtomicU64,
 }
 
 impl TableCache {
-    /// A lane cache under `config`, optionally attached to a shared L2.
+    /// A lane cache under `config`.
     #[must_use]
-    pub fn new(config: &TableCacheConfig, l2: Option<Arc<TableTier>>) -> Self {
+    pub fn new(config: &TableCacheConfig) -> Self {
         Self {
             l1: Mutex::new(Lru::new(config.l1_entries, config.l1_bytes)),
-            l2,
-            swept: std::sync::atomic::AtomicU64::new(0),
+            swept: AtomicU64::new(0),
         }
     }
 
-    /// The process-wide L2 tier `config` asks for (the sharded front
-    /// builds one and attaches it to every lane).
-    #[must_use]
-    pub fn shared_tier(config: &TableCacheConfig) -> Arc<TableTier> {
-        Arc::new(SharedTier::new(config.l2_shards, config.l2_entries, config.l2_bytes))
-    }
-
-    /// Attach (or replace) the shared L2 handle.
-    pub fn attach_l2(&mut self, l2: Arc<TableTier>) {
-        self.l2 = Some(l2);
-    }
-
-    /// Probe L1 then L2; an L2 hit is promoted into L1 so the lane's
-    /// next probe stays local.
+    /// Probe the L1.
     #[must_use]
     pub fn lookup(&self, key: &TableKey) -> Option<Arc<SolveArtifact>> {
-        if let Some(hit) = self.l1.lock().get(key) {
-            return Some(Arc::clone(hit));
-        }
-        let from_l2 = self.l2.as_ref().and_then(|tier| tier.get(key))?;
-        let bytes = from_l2.weight_bytes();
-        self.l1.lock().insert(*key, Arc::clone(&from_l2), bytes);
-        Some(from_l2)
+        self.l1.lock().get(key).map(Arc::clone)
     }
 
-    /// Publish a freshly computed artifact to both tiers.
+    /// Publish a freshly computed artifact.
     pub fn insert(&self, key: TableKey, artifact: Arc<SolveArtifact>) {
         let bytes = artifact.weight_bytes();
-        self.l1.lock().insert(key, Arc::clone(&artifact), bytes);
-        if let Some(tier) = &self.l2 {
-            tier.insert(key, artifact, bytes);
-        }
+        self.l1.lock().insert(key, artifact, bytes);
     }
 
-    /// Forecast-window rollover invalidation: drop every **L1** entry
-    /// of a window before `window_secs`. Keys pin their window, so
-    /// stale entries could never be *wrongly* hit — eviction reclaims
-    /// their budget the moment this lane's virtual clock has provably
-    /// passed them. Guarded to one sweep per window per lane (rollover
-    /// events arrive once per session; sweeping on each would rescan
-    /// the tier thousands of times per window).
-    ///
-    /// Deliberately L1-only: lanes advance their virtual clocks
-    /// independently, so a lane racing ahead must not sweep the shared
-    /// L2 out from under a lane still serving an older window — there,
-    /// old-window entries simply age out of the LRU once nothing probes
-    /// them.
+    /// Forecast-window rollover invalidation: drop every entry of a
+    /// window before `window_secs`. Keys pin their window, so stale
+    /// entries could never be *wrongly* hit — eviction reclaims their
+    /// budget the moment this lane's virtual clock has provably passed
+    /// them. Guarded to one sweep per window per lane (rollover events
+    /// arrive once per session; sweeping on each would rescan the L1
+    /// thousands of times per window). `fetch_max` makes the guard
+    /// race-free: of concurrent rollers, every one that raises the
+    /// high-water mark sweeps, so the highest window is never skipped.
     pub fn roll_window(&self, window_secs: u64) {
-        use std::sync::atomic::Ordering;
-        let prev = self.swept.load(Ordering::Relaxed);
-        if window_secs > prev
-            && self
-                .swept
-                .compare_exchange(prev, window_secs, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
+        if self.swept.fetch_max(window_secs, Ordering::Relaxed) < window_secs {
             self.l1.lock().evict_where(|k| k.window < window_secs);
         }
     }
 
-    /// The L1 tier counters.
+    /// The L1 counters.
     #[must_use]
     pub fn l1_snapshot(&self) -> TierSnapshot {
         self.l1.lock().snapshot()
     }
 
-    /// The attached L2's counters (whole tier, shared across lanes).
+    /// This lane's metrics (`session.l1`).
     #[must_use]
-    pub fn l2_snapshot(&self) -> Option<TierSnapshot> {
-        self.l2.as_ref().map(|tier| tier.snapshot())
-    }
-
-    /// This lane's metrics: its private L1 always, the shared L2 only
-    /// for callers that own a single lane (the sharded front reports
-    /// the L2 once itself — see [`crate::ShardedService`]).
-    #[must_use]
-    pub fn metrics(&self, include_l2: bool) -> CacheMetrics {
+    pub fn metrics(&self) -> CacheMetrics {
         let mut m = CacheMetrics::default();
         m.record("session.l1", self.l1_snapshot());
-        if include_l2 {
-            if let Some(snap) = self.l2_snapshot() {
-                m.record("session.l2", snap);
-            }
-        }
         m
     }
 }
@@ -412,32 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn l2_hits_promote_into_l1() {
-        let config = TableCacheConfig::enabled();
-        let tier = TableCache::shared_tier(&config);
-        let a = TableCache::new(&config, Some(Arc::clone(&tier)));
-        let b = TableCache::new(&config, Some(Arc::clone(&tier)));
-        let key = TableKey { trip_digest: 7, stop_index: 0, config_hash: 9, window: 0 };
-        let artifact = Arc::new(SolveArtifact {
-            outcome: ArtifactOutcome::NoOffers,
-            post: SolverSnapshot::default(),
-        });
-        a.insert(key, Arc::clone(&artifact));
-        // b has never seen the key: first probe is an L1 miss answered
-        // by the shared tier, second is a local L1 hit.
-        assert!(b.lookup(&key).is_some());
-        let l1 = b.l1_snapshot();
-        assert_eq!((l1.hits, l1.misses), (0, 1));
-        assert!(b.lookup(&key).is_some());
-        assert_eq!(b.l1_snapshot().hits, 1);
-        let l2 = b.l2_snapshot().unwrap();
-        assert_eq!(l2.hits, 1, "exactly one probe reached the shared tier");
-    }
-
-    #[test]
     fn roll_window_evicts_only_older_windows() {
         let config = TableCacheConfig::enabled();
-        let cache = TableCache::new(&config, None);
+        let cache = TableCache::new(&config);
         let artifact = Arc::new(SolveArtifact {
             outcome: ArtifactOutcome::NoOffers,
             post: SolverSnapshot::default(),
@@ -452,6 +362,74 @@ mod tests {
         assert!(cache.lookup(&old).is_none());
         assert!(cache.lookup(&live).is_some());
         assert_eq!(cache.l1_snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn concurrent_rolls_never_skip_the_highest_window() {
+        use std::sync::atomic::AtomicUsize;
+        const WORKERS: u64 = 4;
+        const ROUNDS: u64 = 20_000;
+        let artifact =
+            SolveArtifact { outcome: ArtifactOutcome::NoOffers, post: SolverSnapshot::default() };
+        let key = |window: u64| TableKey {
+            trip_digest: 1,
+            stop_index: 0,
+            config_hash: 1,
+            window: window * 900,
+        };
+        // Round r inserts windows 4r..4r+3, then four batch workers roll
+        // one window each, interleaved, at once. Whoever arrives last at
+        // the round's gate checks the previous round, inserts, and opens
+        // the gate, then rolls straight away while the others spin, so
+        // rolls overlap as closely as the host's cores allow. A guard
+        // that lets a lower window's update land between a higher roll's
+        // read and its write leaves that higher window unswept.
+        let cache = TableCache::new(&TableCacheConfig::enabled());
+        let (arrived, opened) = (AtomicUsize::new(0), AtomicU64::new(0));
+        let survivors = Mutex::new(Vec::new());
+        let gate = |round: u64| {
+            let last = arrived.fetch_add(1, Ordering::AcqRel) + 1 == (round * WORKERS) as usize;
+            if last {
+                if round > 1 {
+                    let top = round * WORKERS - 1;
+                    let entries = cache.l1_snapshot().entries;
+                    if entries != 1 || cache.lookup(&key(top)).is_none() {
+                        survivors.lock().push((round - 1, entries));
+                    }
+                }
+                for window in round * WORKERS..(round + 1) * WORKERS {
+                    cache.insert(key(window), Arc::new(artifact.clone()));
+                }
+                opened.store(round, Ordering::Release);
+            }
+            let mut spins = 0u32;
+            while opened.load(Ordering::Acquire) < round {
+                spins += 1;
+                if spins.is_multiple_of(256) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for worker in 0..WORKERS {
+                let gate = &gate;
+                let cache = &cache;
+                scope.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        gate(round);
+                        cache.roll_window(key(round * WORKERS + worker).window);
+                    }
+                });
+            }
+        });
+        let survivors = survivors.into_inner();
+        assert!(
+            survivors.is_empty(),
+            "(round, entries) where an older window survived: {survivors:?}"
+        );
+        assert_eq!(cache.l1_snapshot().entries, 1);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! service that owns N concurrent trips end-to-end and multiplexes their
 //! work instead of looping over them.
 //!
-//! * [`cache`] — the tiered Offering-Table cache: a per-lane L1 LRU of
-//!   rendered solves plus an optional shared-process L2 tier, keyed so
-//!   sessions sharing a trip shape replay each other's solves with
-//!   bit-identical results (cache on/off is sweep-tested);
+//! * [`cache`] — the Offering-Table cache: a per-lane L1 LRU of
+//!   rendered solves, keyed so sessions sharing a trip shape replay
+//!   each other's solves with bit-identical results (cache on/off is
+//!   sweep-tested);
 //! * [`registry`] — per-session lifecycle (register trip → segment →
 //!   re-rank → advance → retire) with the session's full solve record;
 //! * [`scheduler`] — the deterministic virtual-time event scheduler: a
@@ -101,7 +101,7 @@ pub mod stats;
 
 pub use cache::{
     config_digest, trip_digest, ArtifactOutcome, SolveArtifact, TableCache, TableCacheConfig,
-    TableKey, TableTier,
+    TableKey,
 };
 pub use error::{JournalError, RecoveryError, RegisterError, SessionError};
 pub use journal::{

@@ -367,7 +367,7 @@ impl SessionState {
         }
     }
 
-    /// [`SessionState::execute`] through the tiered Offering-Table
+    /// [`SessionState::execute`] through the Offering-Table
     /// cache (see [`crate::cache`]). Only solve events are keyed;
     /// `Retire`/`Handoff` stops delegate unchanged. A hit advances the
     /// cursor, restores the cached absolute post-solve solver snapshot,

@@ -85,8 +85,7 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Injected faults (chaos harness); default = none.
     pub chaos: ServiceChaos,
-    /// Tiered Offering-Table caching (L1 per lane, optional shared L2 —
-    /// see [`crate::cache`]). Default **off**; when on it engages only
+    /// Offering-Table caching (one L1 per lane — see [`crate::cache`]). Default **off**; when on it engages only
     /// under the purity gate batch parallelism already requires, and
     /// cached solves are bit-identical to uncached ones.
     pub table_cache: TableCacheConfig,
@@ -138,7 +137,7 @@ pub struct SessionService {
     /// Tick batch buffer, reused across ticks (with the scheduler's own
     /// lookahead scratch this makes the warmed pop path allocation-free).
     batch_scratch: Vec<Event>,
-    /// The lane's tiered Offering-Table cache, when
+    /// The lane's Offering-Table cache, when
     /// [`ServiceConfig::table_cache`] enables it.
     table_cache: Option<TableCache>,
     /// Sessions that executed a [`crate::EventKind::Handoff`] stop this
@@ -166,10 +165,7 @@ impl SessionService {
             health: ServiceHealth::Serving,
             last_defect: None,
             batch_scratch: Vec::new(),
-            table_cache: config
-                .table_cache
-                .enabled
-                .then(|| TableCache::new(&config.table_cache, None)),
+            table_cache: config.table_cache.enabled.then(|| TableCache::new(&config.table_cache)),
             departures: Vec::new(),
         }
     }
@@ -225,28 +221,20 @@ impl SessionService {
         self.journal = Some(journal);
     }
 
-    /// Attach the process-wide shared L2 table tier (sharded front).
-    /// No-op when table caching is disabled.
-    pub(crate) fn attach_table_l2(&mut self, tier: Arc<crate::cache::TableTier>) {
-        if let Some(cache) = &mut self.table_cache {
-            cache.attach_l2(tier);
-        }
-    }
-
     /// The lane's table cache, when enabled.
     #[must_use]
     pub fn table_cache(&self) -> Option<&TableCache> {
         self.table_cache.as_ref()
     }
 
-    /// Unified cache metrics for this lane's table-cache tiers
-    /// (`session.l1`, and `session.l2` when a shared tier is attached).
+    /// Unified cache metrics for this lane's table cache
+    /// (`session.l1`).
     /// Counters are observational — which concurrent solve wins an
     /// insert race is wall-clock dependent — which is why they live
     /// here and not in [`SessionStats`].
     #[must_use]
     pub fn cache_metrics(&self) -> CacheMetrics {
-        self.table_cache.as_ref().map(|c| c.metrics(true)).unwrap_or_default()
+        self.table_cache.as_ref().map(TableCache::metrics).unwrap_or_default()
     }
 
     /// The configuration in force.

@@ -84,7 +84,6 @@
 //! itinerary is a pure function of `(trip, config, shard plan)` and is
 //! recomputed, never journaled).
 
-use crate::cache::{TableCache, TableTier};
 use crate::error::{RecoveryError, RegisterError, SessionError};
 use crate::journal::{read_journal, Journal, JournalConfig, Record};
 use crate::recovery::{rebuild_trip, RecoveryReport};
@@ -313,9 +312,6 @@ pub struct ShardedService<'a> {
     graph: &'a roadnet::RoadGraph,
     adapt_every: SimDuration,
     tick_workers: usize,
-    /// The process-wide L2 Offering-Table tier every lane shares, when
-    /// [`crate::TableCacheConfig`] enables caching.
-    table_l2: Option<Arc<TableTier>>,
 }
 
 impl<'a> ShardedService<'a> {
@@ -368,11 +364,6 @@ impl<'a> ShardedService<'a> {
         );
         let plan = ShardPlan::build(graph, fleet, shard.shards, shard.tile_depth);
         let lane_config = shard.lane_config();
-        let table_l2 = shard
-            .service
-            .table_cache
-            .enabled
-            .then(|| TableCache::shared_tier(&shard.service.table_cache));
         let mut lanes = Vec::with_capacity(shard.shards);
         for (i, server) in env.servers.iter().enumerate() {
             let mut service = match &journal_dir {
@@ -383,9 +374,6 @@ impl<'a> ShardedService<'a> {
             };
             let ctx = QueryCtx::new(graph, fleet, server, sims, config);
             service.attach_share(server.forecast_share());
-            if let Some(tier) = &table_l2 {
-                service.attach_table_l2(Arc::clone(tier));
-            }
             lanes.push(Lane { service, ctx });
         }
         Ok(Self {
@@ -395,7 +383,6 @@ impl<'a> ShardedService<'a> {
             graph,
             adapt_every: shard.service.adapt_every,
             tick_workers: shard.tick_workers(),
-            table_l2,
         })
     }
 
@@ -590,21 +577,15 @@ impl<'a> ShardedService<'a> {
     }
 
     /// The unified cache-metrics registry across the whole front: every
-    /// lane's `session.l1` merged, the shared `session.l2` reported
-    /// once, and the per-shard InfoServer forecast tiers (`eis.fresh`,
-    /// `eis.lkg`) merged. Observational counters — never part of the
+    /// lane's `session.l1` and the per-shard InfoServer forecast tiers
+    /// (`eis.fresh`, `eis.lkg`), each merged across lanes. Observational counters — never part of the
     /// identity contract.
     #[must_use]
     pub fn cache_metrics(&self) -> servecache::CacheMetrics {
         let mut metrics = servecache::CacheMetrics::default();
         for lane in &self.lanes {
-            if let Some(cache) = lane.service.table_cache() {
-                metrics.record("session.l1", cache.l1_snapshot());
-            }
+            metrics.absorb(&lane.service.cache_metrics());
             metrics.absorb(&lane.ctx.server.cache_metrics());
-        }
-        if let Some(tier) = &self.table_l2 {
-            metrics.record("session.l2", tier.snapshot());
         }
         metrics
     }
@@ -712,20 +693,12 @@ pub fn recover_sharded<'a>(
     }
 
     let lane_config = shard.lane_config();
-    let table_l2 = shard
-        .service
-        .table_cache
-        .enabled
-        .then(|| TableCache::shared_tier(&shard.service.table_cache));
     let mut lanes: Vec<Lane<'a>> = env
         .servers
         .iter()
         .map(|server| {
-            let mut service =
+            let service =
                 SessionService::from_recovery(lane_config, SessionStats::default(), Vec::new());
-            if let Some(tier) = &table_l2 {
-                service.attach_table_l2(Arc::clone(tier));
-            }
             Lane { service, ctx: QueryCtx::new(graph, fleet, server, sims, config) }
         })
         .collect();
@@ -840,7 +813,6 @@ pub fn recover_sharded<'a>(
         graph,
         adapt_every: shard.service.adapt_every,
         tick_workers: shard.tick_workers(),
-        table_l2,
     };
     front.federate();
     Ok((front, reports))
@@ -944,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_table_cache_is_bit_identical_and_feeds_the_shared_tier() {
+    fn sharded_table_cache_with_one_entry_l1_is_bit_identical() {
         let (graph, fleet, sims, mut trips) = fixture();
         // Align departures so every session interleaves at the shared
         // rollover/adapt instants (staggered trips would keep each
@@ -972,7 +944,8 @@ mod tests {
 
         for shards in [2, 4] {
             let env = ShardEnv::new(&sims, shards);
-            // A one-entry L1 forces real fall-through to the shared tier.
+            // A one-entry L1 evicts on nearly every insert, so most
+            // colliding probes miss and re-solve.
             let table_cache = crate::TableCacheConfig {
                 enabled: true,
                 l1_entries: 1,
@@ -1005,9 +978,6 @@ mod tests {
             let metrics = front.cache_metrics();
             let l1 = metrics.get("session.l1").expect("lanes report their L1s merged");
             assert!(l1.insertions > 0, "{l1:?}");
-            let l2 = metrics.get("session.l2").expect("the front reports the shared tier once");
-            assert!(l2.insertions > 0, "lanes must publish to the shared tier: {l2:?}");
-            assert!(l2.hits > 0, "a one-entry L1 must fall through to the shared tier: {l2:?}");
             assert!(metrics.get("eis.fresh").is_some(), "forecast tiers ride along");
         }
     }
